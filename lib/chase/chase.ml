@@ -38,7 +38,9 @@ let default_governor ~max_rounds ~max_facts () =
 let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?gov program inst =
   let gov = match gov with Some g -> g | None -> default_governor ~max_rounds ~max_facts () in
   let tele = Governor.telemetry gov in
-  let gen = Null_gen.create () in
+  (* Start past every null already in the instance: re-chasing a chased
+     model must not mint a null it already holds. *)
+  let gen = Null_gen.create ~start:(Instance.max_null inst) () in
   let fired : unit Key_table.t = Key_table.create 256 in
   let new_facts = ref 0 in
   let triggers_fired = ref 0 in

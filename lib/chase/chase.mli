@@ -46,9 +46,12 @@ val run :
   Program.t ->
   Instance.t ->
   stats
-(** Mutates the instance. Defaults: [Restricted], [max_rounds = 1_000],
-    [max_facts = 1_000_000]. When [gov] is supplied it takes over budgeting
-    entirely ([max_rounds]/[max_facts] are ignored — configure the
-    governor's {!Tgd_exec.Budget} instead) and the run's counters land in
-    its telemetry under the [chase.*] keys, plus [eval.steps] for the
+(** Mutates the instance. Invented nulls are numbered past the largest
+    null the instance already holds ({!Tgd_db.Instance.max_null}), so
+    chasing a chased model never merges two distinct nulls. Defaults:
+    [Restricted], [max_rounds = 1_000], [max_facts = 1_000_000]. When
+    [gov] is supplied it takes over budgeting entirely
+    ([max_rounds]/[max_facts] are ignored — configure the governor's
+    {!Tgd_exec.Budget} instead) and the run's counters land in its
+    telemetry under the [chase.*] keys, plus [eval.steps] for the
     trigger-discovery join search, which the governor also bounds. *)

@@ -79,6 +79,23 @@ let substitute inst ~from_ ~to_ =
     inst.relations;
   !fresh
 
+type stamp = int array
+
+(* (uid, version) per predicate; an absent predicate stamps uid -1. *)
+let stamp inst preds =
+  let s = Array.make (2 * Array.length preds) (-1) in
+  Array.iteri
+    (fun i pred ->
+      match Symbol.Table.find_opt inst.relations pred with
+      | None -> s.((2 * i) + 1) <- 0
+      | Some rel ->
+        s.(2 * i) <- Relation.uid rel;
+        s.((2 * i) + 1) <- Relation.version rel)
+    preds;
+  s
+
+let stamp_equal (a : stamp) b = a = b
+
 let max_null inst =
   let best = ref 0 in
   iter_facts

@@ -53,6 +53,20 @@ val substitute : t -> from_:Value.t -> to_:Value.t -> fact list
     facts that are new to the instance — the touched frontier an EGD delta
     replay feeds back into trigger discovery. *)
 
+type stamp
+(** A fingerprint of some of an instance's relations: for each listed
+    predicate, its relation's ({!Relation.uid}, {!Relation.version}) or
+    "absent". *)
+
+val stamp : t -> Symbol.t array -> stamp
+(** [stamp inst preds] stamps the relations of [preds], in order. Two equal
+    stamps over the same predicate list mean the same relations with the
+    same rows: a {!copy}, an {!install_relation}, or any fact added or
+    rewritten in place since ({!add_fact}, {!substitute}) changes the
+    stamp. *)
+
+val stamp_equal : stamp -> stamp -> bool
+
 val max_null : t -> int
 (** The largest labeled-null id occurring in the instance ([0] when
     null-free): the floor for a {!Tgd_chase.Null_gen} that must extend the

@@ -11,6 +11,12 @@ type partition = {
 }
 
 type t = {
+  uid : int;
+  (* Unique per relation object: [create], [copy] and [of_columnar] each
+     draw a fresh one, so (uid, version) names one state of one relation. *)
+  mutable version : int;
+  (* Bumped by every content change (an insert that adds a row, a
+     substitution that rewrites one). *)
   arity : int;
   rows : unit Tuple.Table.t;
   indexes : Tuple.t list Vtbl.t option array; (* one optional index per column *)
@@ -34,9 +40,13 @@ type t = {
      boxing; the first boxed-side consumer triggers it via [ensure_rows]. *)
 }
 
+let next_uid = Atomic.make 0
+
 let create ~arity =
   if arity < 0 then invalid_arg "Relation.create: negative arity";
   {
+    uid = Atomic.fetch_and_add next_uid 1;
+    version = 0;
     arity;
     rows = Tuple.Table.create 64;
     indexes = Array.make (max arity 1) None;
@@ -54,6 +64,8 @@ let create ~arity =
    inserting without the other observing it. *)
 let copy r =
   {
+    uid = Atomic.fetch_and_add next_uid 1;
+    version = 0;
     arity = r.arity;
     rows = Tuple.Table.copy r.rows;
     indexes = Array.map (Option.map Vtbl.copy) r.indexes;
@@ -65,6 +77,8 @@ let copy r =
   }
 
 let arity r = r.arity
+let uid r = r.uid
+let version r = r.version
 
 (* Materialize the deferred row hashtable of a snapshot-adopted relation:
    decode each block row once. Idempotent; a no-op everywhere else. *)
@@ -95,6 +109,7 @@ let insert r t =
   if Tuple.Table.mem r.rows t then false
   else begin
     Tuple.Table.add r.rows t ();
+    r.version <- r.version + 1;
     Array.iteri
       (fun pos idx -> match idx with None -> () | Some idx -> index_insert idx t pos)
       r.indexes;
@@ -259,6 +274,7 @@ let substitute r ~from_ ~to_ =
   done;
   if Tuple.Table.length affected = 0 then []
   else begin
+    r.version <- r.version + 1;
     (* Remove every affected row first, then insert the rewritten rows:
        a replacement may collide with another affected original. *)
     Tuple.Table.iter

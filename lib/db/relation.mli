@@ -9,6 +9,15 @@ val create : arity:int -> t
 val arity : t -> int
 val cardinality : t -> int
 
+val uid : t -> int
+(** A process-wide unique id, drawn afresh by {!create}, {!copy} and
+    {!of_columnar}: two relations with one uid are one object. *)
+
+val version : t -> int
+(** Counts the content changes of this relation: an {!insert} that adds a
+    row and a {!substitute} that rewrites one each bump it. Equal
+    ({!uid}, [version]) pairs therefore mean equal rows. *)
+
 val copy : t -> t
 (** Copy-on-write duplicate: the row set and indexes are structurally
     copied (the tuples themselves are shared — they are never mutated),

@@ -63,7 +63,18 @@ val datalog_answers :
     program over a copy-on-write copy of the instance
     ({!Tgd_db.Datalog.saturate} — the input instance is never mutated),
     read the goal relation back, and drop tuples containing labeled nulls.
-    Deduplicated and sorted; a governed run yields a sound subset. *)
+    Deduplicated and sorted; a governed run yields a sound subset.
+
+    Saturation runs once per data version. The answers of a run the
+    governor did not stop are memoised per artifact (physically, for as
+    long as the artifact lives) together with the {!Tgd_db.Instance.stamp}
+    of every relation the program mentions; a later call whose instance
+    has the same stamp returns them without copying or saturating, and
+    charges nothing to [gov]. Any change to those relations — a copy, an
+    installed relation, a fact added or substituted in place — misses and
+    saturates afresh. Hits and misses are counted in [gov]'s telemetry as
+    [exec.datalog.memo_hits] and [exec.datalog.memo_misses]. Safe to call
+    from several domains at once. *)
 
 val answers : ?gov:Tgd_exec.Governor.t -> artifact -> Instance.t -> Tuple.t list
 (** Certain answers through either artifact kind: {!Tgd_db.Eval.ucq} plus

@@ -340,8 +340,10 @@ let rewrite ?(config = default_config) ?gov program0 q0 =
       };
   }
 
+(* One atom, so fixed variable names cannot clash: no fresh symbol, no
+   intern-table growth per call. *)
 let goal_query r =
-  let answer = List.init r.arity (fun _ -> Term.Var (Symbol.fresh "X")) in
+  let answer = List.init r.arity (fun i -> Term.Var (Symbol.intern (Printf.sprintf "X%d" i))) in
   Cq.make ~name:"goal" ~answer ~body:[ Atom.make r.goal answer ]
 
 let pp ppf r =

@@ -246,8 +246,9 @@ let handle_query t ~ontology ~query ~budget ~target ~eval =
                       ?partitions:t.eval_partitions entry.Registry.instance ucq
                     |> List.filter (fun tup -> not (Tgd_db.Tuple.has_null tup))
                   | Prepared.Datalog r ->
-                    (* Saturates a copy-on-write clone of the instance; the
-                       registry's sealed columns are shared, untouched. *)
+                    (* Saturates a copy-on-write clone of the instance once
+                       per data version; later reads of the same artifact
+                       and entry return the memoised answers. *)
                     Tgd_obda.Target.datalog_answers ~gov r entry.Registry.instance
                 in
                 let exact =

@@ -177,6 +177,88 @@ let test_saturate_fact_budget () =
     (List.for_all (fun t -> List.exists (Tuple.equal t) full) partial)
 
 (* ------------------------------------------------------------------ *)
+(* The execute memo: saturation once per data version. *)
+
+let budget_of spec =
+  match Tgd_exec.Budget.of_string spec with Ok b -> b | Error e -> Alcotest.fail e
+
+(* Answers through a fresh governor, with the memo counters it saw. *)
+let counted ?budget r inst =
+  let gov = Tgd_exec.Governor.create ?budget () in
+  let answers = datalog_answers ~gov r inst in
+  let tele = Tgd_exec.Governor.telemetry gov in
+  ( answers,
+    Tgd_exec.Telemetry.get tele "exec.datalog.memo_hits",
+    Tgd_exec.Telemetry.get tele "exec.datalog.memo_misses",
+    gov )
+
+let names answers = List.sort compare (List.map (fun t -> Value.to_string t.(0)) answers)
+
+let hierarchy_query n =
+  Cq.make ~name:"q" ~answer:[ v "X" ] ~body:[ atom (Printf.sprintf "a%d" n) [ v "X" ] ]
+
+let test_memo_sees_mutations () =
+  let r = Datalog_rw.rewrite (hierarchy 5) (hierarchy_query 5) in
+  let inst = Instance.of_atoms [ atom "a1" [ c "alice" ] ] in
+  let expect what ~hit want =
+    let got, hits, misses, _ = counted r inst in
+    Alcotest.(check (list string)) what want (names got);
+    Alcotest.(check (pair int int)) (what ^ ": hits, misses")
+      (if hit then (1, 0) else (0, 1))
+      (hits, misses)
+  in
+  expect "first run" ~hit:false [ "alice" ];
+  expect "same data" ~hit:true [ "alice" ];
+  ignore (Instance.add_fact inst (Symbol.intern "a2") [| Value.const "bob" |]);
+  expect "after add_fact" ~hit:false [ "alice"; "bob" ];
+  expect "add_fact memoised" ~hit:true [ "alice"; "bob" ];
+  let rel = Relation.create ~arity:1 in
+  ignore (Relation.insert rel [| Value.const "carol" |]);
+  Instance.install_relation inst (Symbol.intern "a3") rel;
+  expect "after install_relation" ~hit:false [ "alice"; "bob"; "carol" ];
+  ignore (Relation.insert rel [| Value.const "erin" |]);
+  expect "after an insert into the installed relation" ~hit:false
+    [ "alice"; "bob"; "carol"; "erin" ];
+  ignore (Instance.substitute inst ~from_:(Value.const "alice") ~to_:(Value.const "dave"));
+  expect "after substitute" ~hit:false [ "bob"; "carol"; "dave"; "erin" ];
+  let _, hits, misses, _ = counted r (Instance.copy inst) in
+  Alcotest.(check (pair int int)) "a copy is another data version" (0, 1) (hits, misses)
+
+let test_memo_truncated_not_stored () =
+  let n = 30 in
+  let r = Datalog_rw.rewrite (hierarchy n) (hierarchy_query n) in
+  let inst = Instance.of_atoms [ atom "a1" [ c "alice" ]; atom "a2" [ c "bob" ] ] in
+  let partial, _, misses, gov = counted ~budget:(budget_of "rewrite.datalog.facts=5") r inst in
+  Alcotest.(check bool) "governor tripped" true (Tgd_exec.Governor.stopped gov <> None);
+  Alcotest.(check int) "truncated run misses" 1 misses;
+  Alcotest.(check bool) "truncated run is partial" true (List.length partial < 2);
+  let full, hits, misses, _ = counted r inst in
+  Alcotest.(check (pair int int)) "truncated run was not stored" (0, 1) (hits, misses);
+  Alcotest.(check (list string)) "unbudgeted run is complete" [ "alice"; "bob" ] (names full);
+  (* A hit does no evaluation work: a budget that would stop a miss at
+     its first step charges nothing and stops nothing. *)
+  let again, hits, _, gov = counted ~budget:(budget_of "eval.steps=1") r inst in
+  Alcotest.(check int) "tiny budget hits" 1 hits;
+  Alcotest.(check bool) "hit leaves the governor live" true (Tgd_exec.Governor.stopped gov = None);
+  Alcotest.(check (list string)) "hit returns the full set" [ "alice"; "bob" ] (names again)
+
+let test_memo_two_domains () =
+  let p = hierarchy 8 and q = hierarchy_query 8 in
+  let r = Datalog_rw.rewrite p q in
+  let inst =
+    Instance.of_atoms
+      (List.init 40 (fun i ->
+           atom (Printf.sprintf "a%d" (1 + (i mod 8))) [ c (Printf.sprintf "e%d" i) ]))
+  in
+  Instance.seal inst;
+  let expected = names (ucq_answers p q inst) in
+  let run () = List.init 50 (fun _ -> names (datalog_answers r inst)) in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let all = Domain.join d1 @ Domain.join d2 in
+  Alcotest.(check int) "forty answers" 40 (List.length expected);
+  List.iter (Alcotest.(check (list string)) "same answers in both domains" expected) all
+
+(* ------------------------------------------------------------------ *)
 (* Differential property: datalog ≡ ucq wherever both complete, on the
    same random SWR population the chase-vs-rewrite oracle uses. *)
 
@@ -289,6 +371,12 @@ let () =
             test_affected_decomposition_shares;
           Alcotest.test_case "truncation is sound" `Quick test_truncation_soundness;
           Alcotest.test_case "saturation fact budget" `Quick test_saturate_fact_budget;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "mutations after an execute show up" `Quick test_memo_sees_mutations;
+          Alcotest.test_case "truncated runs are not stored" `Quick test_memo_truncated_not_stored;
+          Alcotest.test_case "two domains, one artifact" `Quick test_memo_two_domains;
         ] );
       ( "differential",
         [

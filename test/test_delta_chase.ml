@@ -108,16 +108,28 @@ let prop_datalog_exact =
       | None -> QCheck.assume_fail ()
       | Some (_, inc, scratch) -> facts_equal (all_facts inc) (all_facts scratch))
 
+(* [None] when a leg hit its budget. *)
+let null_free_agree seed =
+  let rng = Rng.create seed in
+  let p = program_of_seed rng seed in
+  let base = base_instance rng p in
+  let batch = random_batch rng p ~size:(1 + Rng.int rng 5) in
+  Option.map
+    (fun (_, inc, scratch) -> facts_equal (null_free inc) (null_free scratch))
+    (run_both p base batch)
+
 let prop_null_free_agree =
   QCheck.Test.make ~name:"SWR/WA/free: delta-apply agrees with from-scratch on null-free facts"
     ~count:150 arb_seed (fun seed ->
-      let rng = Rng.create seed in
-      let p = program_of_seed rng seed in
-      let base = base_instance rng p in
-      let batch = random_batch rng p ~size:(1 + Rng.int rng 5) in
-      match run_both p base batch with
+      match null_free_agree seed with
       | None -> QCheck.assume_fail ()
-      | Some (_, inc, scratch) -> facts_equal (null_free inc) (null_free scratch))
+      | Some agree -> agree)
+
+(* Seed 729020 re-chases a chased model from scratch: a Chase.run whose
+   null generator started at 0 re-minted a null the model already held,
+   merging two distinct nulls into spurious null-free facts. *)
+let test_rechase_keeps_nulls_distinct () =
+  Alcotest.(check (option bool)) "seed 729020 agrees" (Some true) (null_free_agree 729020)
 
 (* ------------------------------------------------------------------ *)
 (* 2. Empty delta is the identity.                                      *)
@@ -273,7 +285,12 @@ let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "delta_chase"
     [
-      ("incremental-vs-scratch", List.map to_alcotest [ prop_datalog_exact; prop_null_free_agree ]);
+      ( "incremental-vs-scratch",
+        List.map to_alcotest [ prop_datalog_exact; prop_null_free_agree ]
+        @ [
+            Alcotest.test_case "re-chase keeps nulls distinct (seed 729020)" `Quick
+              test_rechase_keeps_nulls_distinct;
+          ] );
       ("empty-delta", List.map to_alcotest [ prop_empty_delta ]);
       ("batch-split", List.map to_alcotest [ prop_batch_split ]);
       ("truncation", List.map to_alcotest [ prop_truncation_sound ]);

@@ -117,6 +117,15 @@ let with_server ?(workers = 2) ?queue_bound ?max_clients ?max_line ?rate ?burst 
       if Sys.file_exists path then Sys.remove path)
     (fun () -> f path srv)
 
+(* Bounded wait until a server counter reaches [n]: the event loop updates
+   it asynchronously to what the client has seen. *)
+let await_counter srv key n =
+  let tel = Server.telemetry srv in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Telemetry.get tel key < n && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done
+
 let registered c =
   let line = recv_line_exn c in
   check_contains "register" line {|"ok":true|};
@@ -254,6 +263,9 @@ let test_disconnect_mid_request () =
   send_line a (execute_line ~id:4 ());
   check_contains "survivor answers" (recv_line_exn a) expected_answers;
   close a;
+  (* The loop may still be reaping the corpses when the survivor's answer
+     arrives: wait for the drops it must count. *)
+  await_counter srv "serve.net.closed" 2;
   let tel = Server.telemetry srv in
   Alcotest.(check bool) "drops counted" true (Telemetry.get tel "serve.net.closed" >= 2)
 
@@ -374,7 +386,11 @@ let test_close_during_drain () =
       done)
     clients;
   (* Kill the odd connections while their requests drain through the pool;
-     the even ones must still get every response, in order. *)
+     the even ones must still get every response, in order. Kill them only
+     once the loop has framed every line: a peer that closes with unread
+     responses resets the socket, and lines the loop had not read yet
+     would be lost with it. *)
+  await_counter srv "serve.net.lines" ((n_conns * m_reqs) + 1);
   Array.iteri (fun ci c -> if ci mod 2 = 1 then close c) clients;
   Array.iteri
     (fun ci c ->

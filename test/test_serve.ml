@@ -348,6 +348,62 @@ let test_server_data_delta_keeps_cache_warm () =
   Alcotest.(check int) "delta batch counted" (batches_before + 1)
     (Telemetry.get tel "serve.delta.batches")
 
+(* The Datalog execute memo behind the wire: a warm read returns the
+   stored answers without evaluating (so a tiny budget still gets the full
+   set, exact), and an add-facts moves the answers at the new delta epoch;
+   a truncated run there is not stored. *)
+let test_server_datalog_memo () =
+  let srv = boot_server "professor,alice" in
+  let tel = Server.telemetry srv in
+  let run ?budget () =
+    ok_fields
+      (Server.handle srv
+         (Protocol.Execute
+            { ontology = "uni"; query = "q(X) :- person(X)."; budget; target = Some "datalog" }))
+  in
+  let memo () =
+    (Telemetry.get tel "exec.datalog.memo_hits", Telemetry.get tel "exec.datalog.memo_misses")
+  in
+  let r1 = run () in
+  Alcotest.(check string) "datalog artifact" "datalog"
+    (match List.assoc_opt "artifact" r1 with Some (Json.String s) -> s | _ -> "");
+  Alcotest.(check (list (list string))) "first read" [ [ "alice" ] ] (answers r1);
+  Alcotest.(check (pair int int)) "first read misses" (0, 1) (memo ());
+  let r2 = run ~budget:"eval.steps=1" () in
+  Alcotest.(check (pair int int)) "warm read hits" (1, 1) (memo ());
+  Alcotest.(check (list (list string))) "hit under a tiny budget: full set" [ [ "alice" ] ]
+    (answers r2);
+  Alcotest.(check bool) "hit under a tiny budget: exact" true (bool_field "exact" r2);
+  Alcotest.(check bool) "hit under a tiny budget: not truncated" true
+    (List.assoc_opt "truncated" r2 = None);
+  let mut =
+    ok_fields
+      (Server.handle srv
+         (Protocol.Add_facts { name = "uni"; source = Protocol.Inline "advises,carol,dan" }))
+  in
+  Alcotest.(check bool) "delta epoch bumped" true
+    (match List.assoc_opt "delta_epoch" mut with Some (Json.Int d) -> d > 1 | _ -> false);
+  let r3 = run ~budget:"eval.steps=1" () in
+  Alcotest.(check (pair int int)) "new delta epoch misses" (1, 2) (memo ());
+  Alcotest.(check bool) "truncated miss: inexact" false (bool_field "exact" r3);
+  let r4 = run () in
+  Alcotest.(check (pair int int)) "the truncated run was not stored" (1, 3) (memo ());
+  Alcotest.(check (list (list string))) "answers moved with the data"
+    [ [ "alice" ]; [ "carol" ] ] (answers r4);
+  Alcotest.(check bool) "exact" true (bool_field "exact" r4);
+  let r5 = run ~budget:"eval.steps=1" () in
+  Alcotest.(check (pair int int)) "memoised at the new delta epoch" (2, 3) (memo ());
+  Alcotest.(check (list (list string))) "memoised answers" (answers r4) (answers r5);
+  Alcotest.(check bool) "memoised answers exact" true (bool_field "exact" r5);
+  let counters =
+    match List.assoc_opt "counters" (ok_fields (Server.handle srv Protocol.Stats)) with
+    | Some (Json.Obj cs) -> cs
+    | _ -> Alcotest.fail "stats carries no counters"
+  in
+  Alcotest.(check bool) "stats reports the memo counters" true
+    (List.assoc_opt "exec.datalog.memo_hits" counters = Some (Json.Int 2)
+    && List.assoc_opt "exec.datalog.memo_misses" counters = Some (Json.Int 3))
+
 (* An ontology edit is a full-epoch bump: stale prepared entries are purged
    eagerly and the next execute re-prepares. *)
 let test_server_ontology_edit_invalidates () =
@@ -652,6 +708,7 @@ let () =
         Alcotest.test_case "concurrent executes stay consistent" `Quick test_server_concurrent_execute;
         Alcotest.test_case "no stale answers across delta and full bumps" `Quick
           test_server_no_stale_across_bumps;
+        Alcotest.test_case "datalog execute memo" `Quick test_server_datalog_memo;
         Alcotest.test_case "typed errors" `Quick test_server_errors;
       ]);
       ("faults", [
