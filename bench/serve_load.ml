@@ -172,7 +172,6 @@ let run_leg ~workers ~conns:n_conns ~duration ~n_queries ~variants =
     let srv = mk_server () in
     let listeners = [ Net.listen (Net.Unix_path sockpath) ] in
     Net.serve ~workers
-      ~queue_bound:(n_conns + 32)
       ~max_inflight:(n_conns + 32)
       ~max_clients:(n_conns + 8)
       srv ~listeners;

@@ -591,7 +591,7 @@ let parse_quota spec =
         (num (String.sub spec (i + 1) (String.length spec - i - 1))))
 
 let serve_cmd =
-  let run workers queue_bound cache_capacity target eval_workers eval_partitions budget deadline
+  let run workers cache_capacity target eval_workers eval_partitions budget deadline
       socket listen max_clients max_inflight quota data_dir fsync checkpoint_every =
     let target = target_of_flag target in
     let base_budget =
@@ -608,7 +608,7 @@ let serve_cmd =
           | Error msg ->
             Format.eprintf "obda serve: %s@." msg;
             exit 1)
-        listen
+        (listen @ List.map (( ^ ) "unix:") (Option.to_list socket))
     in
     let rate, burst =
       match quota with
@@ -646,34 +646,19 @@ let serve_cmd =
         (if fsync then "on" else "off")
     | None -> ());
     Fun.protect ~finally:(fun () -> Tgd_serve.Server.shutdown server) @@ fun () ->
-    match (listen_addrs, socket) with
-    | _ :: _, _ ->
-      let listeners = List.map Tgd_serve.Net.listen listen_addrs in
-      List.iter
-        (fun l ->
-          Format.eprintf "obda serve: listening on %s@."
-            (Tgd_serve.Net.addr_to_string (Tgd_serve.Net.listener_addr l)))
-        listeners;
-      Tgd_serve.Net.serve ?workers ~queue_bound ~max_clients ?max_inflight ?rate ?burst server
-        ~listeners
-    | [], Some path ->
-      Format.eprintf "obda serve: listening on unix socket %s@." path;
-      Tgd_serve.Server.run_unix_socket ?workers ~queue_bound server ~path
-    | [], None -> ignore (Tgd_serve.Server.run ?workers ~queue_bound server stdin stdout)
+    let listeners = List.map Tgd_serve.Net.listen listen_addrs in
+    List.iter
+      (fun l ->
+        Format.eprintf "obda serve: listening on %s@."
+          (Tgd_serve.Net.addr_to_string (Tgd_serve.Net.listener_addr l)))
+      listeners;
+    Tgd_serve.Net.serve ?workers ~max_clients ?max_inflight ?rate ?burst server ~listeners
   in
   let workers =
     Arg.(
       value & opt (some int) None
       & info [ "workers" ] ~docv:"N"
           ~doc:"Worker domains executing prepare/execute requests (default: one per core).")
-  in
-  let queue_bound =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-bound" ] ~docv:"N"
-          ~doc:
-            "Admission bound on queued requests; beyond it, requests are shed with a typed \
-             $(b,overloaded) response instead of queueing without limit.")
   in
   let cache_capacity =
     Arg.(
@@ -694,9 +679,7 @@ let serve_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "socket" ] ~docv:"PATH"
-          ~doc:
-            "Serve on a Unix-domain socket at PATH (connections accepted sequentially; state \
-             persists across connections). Default: JSONL over stdin/stdout.")
+          ~doc:"Alias for $(b,--listen) unix:PATH.")
   in
   let listen =
     Arg.(
@@ -706,15 +689,15 @@ let serve_cmd =
             "Serve many clients concurrently on ADDR — $(b,unix:PATH), $(b,tcp:HOST:PORT), or a \
              bare PORT (binds 127.0.0.1; port 0 picks one). Repeatable; all listeners share one \
              server. A single event loop multiplexes connections while requests interleave \
-             through the worker pool; per-connection response order is preserved. Overrides \
-             $(b,--socket).")
+             through the worker pool; per-connection response order is preserved. Default: \
+             JSONL over stdin/stdout, as one such connection.")
   in
   let max_clients =
     Arg.(
       value & opt int 1024
       & info [ "max-clients" ] ~docv:"N"
           ~doc:
-            "With $(b,--listen): maximum concurrent connections. A client accepted beyond the \
+            "Maximum concurrent connections. A client accepted beyond the \
              limit receives one $(b,overloaded) response line and is closed.")
   in
   let max_inflight =
@@ -722,16 +705,15 @@ let serve_cmd =
       value & opt (some int) None
       & info [ "max-inflight" ] ~docv:"N"
           ~doc:
-            "With $(b,--listen): server-wide cap on admitted-but-unanswered requests; beyond it \
-             requests are shed with $(b,overloaded). Default: $(b,--workers) + \
-             $(b,--queue-bound).")
+            "Server-wide cap on admitted-but-unanswered requests; beyond it requests are shed \
+             with $(b,overloaded). Default: $(b,--workers) + 64.")
   in
   let quota =
     Arg.(
       value & opt (some string) None
       & info [ "quota" ] ~docv:"RATE[:BURST]"
           ~doc:
-            "With $(b,--listen): per-tenant token-bucket quota — RATE requests/second refill, \
+            "Per-tenant token-bucket quota — RATE requests/second refill, \
              BURST bucket size (default: RATE, min 1). A request whose tenant's bucket is empty \
              is shed with a typed $(b,quota_exceeded) response naming the retry delay. Tenants \
              are the envelope's $(b,tenant) field (default tenant otherwise). Default: no \
@@ -773,7 +755,7 @@ let serve_cmd =
           With $(b,--data-dir) the registry is durable: write-ahead logged, snapshotted, and \
           recovered on restart.")
     Term.(
-      const run $ workers $ queue_bound $ cache_capacity $ target_arg $ eval_workers
+      const run $ workers $ cache_capacity $ target_arg $ eval_workers
       $ eval_partitions_arg $ budget_arg $ deadline_arg $ socket $ listen $ max_clients
       $ max_inflight $ quota $ data_dir $ fsync $ checkpoint_every)
 

@@ -64,9 +64,9 @@ let worker t () =
   in
   loop ()
 
-let create ?workers ?queue_bound () =
-  (match queue_bound with
-  | Some b when b <= 0 -> invalid_arg "Pool.create: queue_bound must be positive"
+let create ?workers ?max_queued () =
+  (match max_queued with
+  | Some b when b <= 0 -> invalid_arg "Pool.create: max_queued must be positive"
   | _ -> ());
   let workers =
     match workers with
@@ -96,7 +96,7 @@ let create ?workers ?queue_bound () =
       nonempty = Condition.create ();
       idle = Condition.create ();
       queue = Queue.create ();
-      bound = queue_bound;
+      bound = max_queued;
       closed = false;
       running = 0;
       domains = [];

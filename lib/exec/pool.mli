@@ -2,9 +2,9 @@
     consuming a (optionally bounded) job queue, plus a caller-participating
     batch runner for morsel-driven parallel evaluation.
 
-    This is the execution substrate shared by the serving layer (its
-    {!Tgd_serve.Scheduler} wraps a bounded pool and adds admission
-    telemetry) and the parallel query evaluator ({!Tgd_db.Par_eval}
+    This is the execution substrate shared by the serving loop
+    ({!Tgd_serve.Net} runs requests on a bounded pool behind its
+    admission control) and the parallel query evaluator ({!Tgd_db.Par_eval}
     dispatches evaluation morsels through {!run_morsels}).
 
     Worker survival is an invariant of the pool: a job that raises is
@@ -23,9 +23,9 @@ val default_workers : unit -> int
     integer, otherwise [Domain.recommended_domain_count ()] clamped to
     [\[1, 8\]]. Same contract as [Tgd_logic.Parallel.domain_count]. *)
 
-val create : ?workers:int -> ?queue_bound:int -> unit -> t
+val create : ?workers:int -> ?max_queued:int -> unit -> t
 (** Spawn a pool of [workers] domains (default {!default_workers}) that
-    live until {!shutdown}. With [queue_bound] set, {!submit} sheds with
+    live until {!shutdown}. With [max_queued] set, {!submit} sheds with
     [`Overloaded] once that many jobs are queued; without it the queue is
     unbounded. Raises [Invalid_argument] on a non-positive argument.
 

@@ -1,17 +1,17 @@
-(* The multi-client network front end: a select-based event loop over any
-   number of Unix-domain / TCP listeners, a connection table with
-   per-connection read buffers and incremental JSONL framing, and in-order
-   response multiplexing per connection while requests from different
-   connections interleave through the shared worker pool.
+(* The serving loop: a select-based event loop over any number of
+   Unix-domain / TCP listeners (or, with none, the process's stdin/stdout
+   pair as its one connection), a connection table with per-connection
+   read buffers and incremental JSONL framing, and in-order response
+   multiplexing per connection while requests from different connections
+   interleave through the shared worker pool.
 
    Threading model: exactly one event-loop thread owns every connection
    and the listener sockets. Worker domains (the request pool) never touch
    a socket — a finished job pushes its pre-serialized response line onto
    the completion queue and pokes the self-pipe, and the loop writes it
    out. Mutations, stats and shutdown execute inline on the loop thread
-   behind a fence (all in-flight pool queries answered first), exactly
-   mirroring the single-stream [Server.run] semantics — including the
-   durable-store contract: a mutation's WAL record is fsynced inside
+   behind a fence (all in-flight pool queries answered first) — including
+   the durable-store contract: a mutation's WAL record is fsynced inside
    [Server.handle], i.e. before its response line is even queued.
 
    Ordering guarantee: responses on one connection are written strictly in
@@ -81,7 +81,8 @@ let close_listener l =
 
 type conn = {
   id : int;
-  fd : Unix.file_descr;
+  fd : Unix.file_descr;  (* read side *)
+  out_fd : Unix.file_descr;  (* write side: [fd] itself, or stdout for the stdio pair *)
   acc : Buffer.t;  (* partial line accumulated across reads *)
   mutable next_seq : int;  (* response slot handed to the next request *)
   mutable write_head : int;  (* the slot whose response is written next *)
@@ -111,8 +112,9 @@ type t = {
   (* Queries admitted to the pool and not yet drained from [completions]:
      the fence (mutations/stats/shutdown) waits for this to reach zero. *)
   mutable pool_inflight : int;
-  fence : (int * int * Protocol.envelope) Queue.t;  (* ordered control ops *)
-  parked : (int * int * Protocol.envelope) Queue.t;  (* queries held behind the fence *)
+  (* A fenced control op not yet run, and every request that arrived
+     after it, in arrival order (conn id, seq, request). *)
+  waiting : (int * int * Protocol.envelope) Queue.t;
   mutable stopping : bool;
   scratch : Bytes.t;
 }
@@ -126,7 +128,7 @@ let count t key n = ignore (Tgd_exec.Telemetry.add t.telemetry key n)
 let try_flush t c =
   let len = Buffer.length c.out - c.out_pos in
   if len > 0 then
-    match Unix.write_substring c.fd (Buffer.contents c.out) c.out_pos len with
+    match Unix.write_substring c.out_fd (Buffer.contents c.out) c.out_pos len with
     | n ->
       c.out_pos <- c.out_pos + n;
       if c.out_pos >= Buffer.length c.out then begin
@@ -140,10 +142,16 @@ let try_flush t c =
       false
   else true
 
+(* A socket is closed. The stdin/stdout pair is shared with the parent
+   and stays open; it is the only connection, so the loop stops. *)
+let close_conn_fds t c =
+  if c.out_fd = c.fd then try Unix.close c.fd with _ -> () else t.stopping <- true
+
 let drop_conn t c =
   Hashtbl.remove t.conns c.id;
   Hashtbl.remove t.by_fd c.fd;
-  (try Unix.close c.fd with _ -> ());
+  Hashtbl.remove t.by_fd c.out_fd;
+  close_conn_fds t c;
   count t "serve.net.closed" 1
 
 (* Record a completed response for its slot and advance the in-order write
@@ -221,31 +229,36 @@ let submit_query t ~conn_id ~seq (env : Protocol.envelope) =
       in
       complete t ~conn_id ~seq (Protocol.response_error ~id ~kind msg))
 
-(* Shed a parked query at shutdown: admitted-but-parked work must still be
-   answered before the loop exits, and "try again elsewhere" is the honest
-   answer once this process is stopping. *)
-let shed_parked t =
-  Queue.iter
-    (fun (conn_id, seq, (env : Protocol.envelope)) ->
+(* Work through [waiting] in arrival order: dispatch queries, and run each
+   control operation once no pool query is in flight, stopping at the first
+   one that must wait. A query therefore sees exactly the mutations that
+   arrived before it. Mutations run inline on the loop thread: the WAL
+   append + fsync inside [Server.handle] completes before the response line
+   is queued, preserving fsync-before-ack per connection. Everything reached
+   after [shutdown] is shed: "try again elsewhere" is the honest answer
+   once this process is stopping, and no mutation is applied after the
+   stop was acknowledged. *)
+let run_waiting t =
+  let blocked = ref false in
+  while (not !blocked) && not (Queue.is_empty t.waiting) do
+    let conn_id, seq, (env : Protocol.envelope) = Queue.peek t.waiting in
+    match env.Protocol.request with
+    | _ when t.stopping ->
+      ignore (Queue.pop t.waiting);
       count t "serve.shed.overloaded" 1;
       complete t ~conn_id ~seq
-        (Protocol.response_error ~id:env.Protocol.id ~kind:"overloaded" "server stopping"))
-    t.parked;
-  Queue.clear t.parked
-
-(* Run fenced control operations once no pool query is in flight, then
-   release any parked queries. Mutations run inline on the loop thread:
-   the WAL append + fsync inside [Server.handle] completes before the
-   response line is queued, preserving fsync-before-ack per connection. *)
-let run_fences t =
-  while (not (Queue.is_empty t.fence)) && t.pool_inflight = 0 do
-    let conn_id, seq, (env : Protocol.envelope) = Queue.pop t.fence in
-    match env.Protocol.request with
+        (Protocol.response_error ~id:env.Protocol.id ~kind:"overloaded" "server stopping")
+    | Protocol.Prepare _ | Protocol.Execute _ ->
+      ignore (Queue.pop t.waiting);
+      submit_query t ~conn_id ~seq env
+    | _ when t.pool_inflight > 0 -> blocked := true
     | Protocol.Shutdown ->
+      ignore (Queue.pop t.waiting);
       t.stopping <- true;
       complete t ~conn_id ~seq
         (Protocol.response_ok ~id:env.Protocol.id [ ("stopping", Json.Bool true) ])
     | request ->
+      ignore (Queue.pop t.waiting);
       let line =
         match Server.handle t.server request with
         | Ok fields -> Protocol.response_ok ~id:env.Protocol.id fields
@@ -255,14 +268,7 @@ let run_fences t =
             ("request raised: " ^ Printexc.to_string e)
       in
       complete t ~conn_id ~seq line
-  done;
-  if Queue.is_empty t.fence then
-    if t.stopping then shed_parked t
-    else
-      while not (Queue.is_empty t.parked) do
-        let conn_id, seq, env = Queue.pop t.parked in
-        submit_query t ~conn_id ~seq env
-      done
+  done
 
 let handle_line t c line =
   let seq = c.next_seq in
@@ -276,18 +282,11 @@ let handle_line t c line =
     | Protocol.Ping ->
       complete t ~conn_id:c.id ~seq
         (Protocol.response_ok ~id:env.Protocol.id [ ("pong", Json.Bool true) ])
-    | Protocol.Prepare _ | Protocol.Execute _ ->
-      if t.stopping then begin
-        count t "serve.shed.overloaded" 1;
-        complete t ~conn_id:c.id ~seq
-          (Protocol.response_error ~id:env.Protocol.id ~kind:"overloaded" "server stopping")
-      end
-      else if not (Queue.is_empty t.fence) then Queue.push (c.id, seq, env) t.parked
-      else submit_query t ~conn_id:c.id ~seq env
-    | Protocol.Register_ontology _ | Protocol.Load_csv _ | Protocol.Add_facts _
-    | Protocol.Materialize _ | Protocol.Snapshot _ | Protocol.Stats | Protocol.Shutdown ->
-      Queue.push (c.id, seq, env) t.fence;
-      run_fences t)
+    | (Protocol.Prepare _ | Protocol.Execute _) when Queue.is_empty t.waiting && not t.stopping ->
+      submit_query t ~conn_id:c.id ~seq env
+    | _ ->
+      Queue.push (c.id, seq, env) t.waiting;
+      run_waiting t)
 
 (* ------------------------------------------------------------------ *)
 (* Reading + framing                                                   *)
@@ -360,6 +359,26 @@ let handle_readable t c =
 
 let conn_ids = ref 0
 
+let add_conn t ~fd ~out_fd =
+  incr conn_ids;
+  let c =
+    {
+      id = !conn_ids;
+      fd;
+      out_fd;
+      acc = Buffer.create 256;
+      next_seq = 0;
+      write_head = 0;
+      pending = Hashtbl.create 4;
+      out = Buffer.create 256;
+      out_pos = 0;
+      eof = false;
+    }
+  in
+  Hashtbl.replace t.conns c.id c;
+  Hashtbl.replace t.by_fd fd c;
+  Hashtbl.replace t.by_fd out_fd c
+
 let handle_accept t l =
   match Unix.accept ~cloexec:true l.l_fd with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
@@ -378,22 +397,7 @@ let handle_accept t l =
       try Unix.close fd with _ -> ()
     end
     else begin
-      incr conn_ids;
-      let c =
-        {
-          id = !conn_ids;
-          fd;
-          acc = Buffer.create 256;
-          next_seq = 0;
-          write_head = 0;
-          pending = Hashtbl.create 4;
-          out = Buffer.create 256;
-          out_pos = 0;
-          eof = false;
-        }
-      in
-      Hashtbl.replace t.conns c.id c;
-      Hashtbl.replace t.by_fd fd c;
+      add_conn t ~fd ~out_fd:fd;
       count t "serve.net.accepted" 1;
       Tgd_exec.Telemetry.gauge t.telemetry "serve.net.connections.peak" (Hashtbl.length t.conns)
     end
@@ -424,23 +428,29 @@ let drain_completions t =
 (* ------------------------------------------------------------------ *)
 (* The loop                                                            *)
 
-let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 1024 * 1024)
+let serve ?workers ?(max_clients = 1024) ?(max_line = 8 * 1024 * 1024)
     ?rate ?burst ?max_inflight ?now server ~listeners =
   if max_clients <= 0 then invalid_arg "Net.serve: max_clients must be positive";
   if max_line <= 0 then invalid_arg "Net.serve: max_line must be positive";
+  (* Checked before the wake pipe is opened: it would reuse a closed fd 0. *)
+  let stdin_open =
+    try
+      ignore (Unix.fstat Unix.stdin);
+      true
+    with Unix.Unix_error _ -> false
+  in
   let workers =
     match workers with
     | Some w when w > 0 -> w
     | Some _ -> invalid_arg "Net.serve: workers must be positive"
     | None -> Tgd_exec.Pool.default_workers ()
   in
-  if queue_bound <= 0 then invalid_arg "Net.serve: queue_bound must be positive";
   let telemetry = Server.telemetry server in
   let max_inflight =
     match max_inflight with
     | Some m when m > 0 -> m
     | Some _ -> invalid_arg "Net.serve: max_inflight must be positive"
-    | None -> workers + queue_bound
+    | None -> workers + 64
   in
   (* A peer that disconnects mid-response must surface as EPIPE on the
      write (handled per connection), not as a process-killing SIGPIPE. *)
@@ -448,7 +458,7 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
   let admission = Admission.create ?now ?rate ?burst ~max_inflight ~telemetry () in
   (* The pool's own bound sits at the admission limit, so admission is the
      one place shedding decisions are made. *)
-  let pool = Tgd_exec.Pool.create ~workers ~queue_bound:max_inflight () in
+  let pool = Tgd_exec.Pool.create ~workers ~max_queued:max_inflight () in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -467,16 +477,21 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
       wake_r;
       wake_w;
       pool_inflight = 0;
-      fence = Queue.create ();
-      parked = Queue.create ();
+      waiting = Queue.create ();
       stopping = false;
       scratch = Bytes.create 65536;
     }
   in
   let listener_fds = List.map (fun l -> l.l_fd) listeners in
   List.iter Unix.set_nonblock listener_fds;
+  (* No listener: serve the inherited stdin/stdout pair. Its fds stay
+     blocking (the parent shares them): a read after select cannot block,
+     and a blocking write can stall only this, the one connection. A
+     closed stdin has nothing to serve. *)
+  if listeners = [] then
+    if stdin_open then add_conn t ~fd:Unix.stdin ~out_fd:Unix.stdout else t.stopping <- true;
   let finished () =
-    t.stopping && t.pool_inflight = 0 && Queue.is_empty t.fence && Queue.is_empty t.parked
+    t.stopping && t.pool_inflight = 0 && Queue.is_empty t.waiting
   in
   Fun.protect
     ~finally:(fun () ->
@@ -484,7 +499,7 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
       Hashtbl.iter
         (fun _ c ->
           ignore (try_flush t c);
-          try Unix.close c.fd with _ -> ())
+          close_conn_fds t c)
         t.conns;
       Hashtbl.reset t.conns;
       Hashtbl.reset t.by_fd;
@@ -500,7 +515,7 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
         in
         let writes =
           Hashtbl.fold
-            (fun _ c acc -> if Buffer.length c.out > c.out_pos then c.fd :: acc else acc)
+            (fun _ c acc -> if Buffer.length c.out > c.out_pos then c.out_fd :: acc else acc)
             t.conns []
         in
         match Unix.select reads writes [] 1.0 with
@@ -509,7 +524,7 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
           (* Drain finished jobs first: it may unblock the fence and it
              frees admission slots before new requests are parsed. *)
           drain_completions t;
-          if not (Queue.is_empty t.fence) then run_fences t;
+          if not (Queue.is_empty t.waiting) then run_waiting t;
           List.iter
             (fun fd ->
               if List.memq fd listener_fds then
@@ -538,7 +553,7 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
             t.conns []
         in
         if dirty <> [] && Unix.gettimeofday () < deadline then begin
-          let fds = List.map (fun c -> c.fd) dirty in
+          let fds = List.map (fun c -> c.out_fd) dirty in
           (match Unix.select [] fds [] 0.1 with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
           | _, writable, _ ->

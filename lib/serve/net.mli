@@ -1,10 +1,11 @@
-(** The multi-client network front end.
+(** The serving loop, for every transport.
 
     A single event-loop thread owns any number of Unix-domain / TCP
-    listeners and a connection table with per-connection read buffers and
-    incremental JSONL framing; [prepare]/[execute] requests are admitted
-    through {!Admission} (per-tenant token buckets + a server-wide
-    in-flight limit, shedding with typed [overloaded] /
+    listeners — or, when given none, the process's stdin/stdout pair as
+    its one connection — and a connection table with per-connection read
+    buffers and incremental JSONL framing; [prepare]/[execute] requests
+    are admitted through {!Admission} (per-tenant token buckets + a
+    server-wide in-flight limit, shedding with typed [overloaded] /
     [quota_exceeded] responses) and executed on a shared
     {!Tgd_exec.Pool} of worker domains, so requests from different
     connections interleave. Worker domains never touch a socket: a
@@ -16,10 +17,11 @@
     there is no ordering. Mutations ([register-ontology], [load-csv],
     [add-facts], [materialize], [snapshot]), [stats] and [shutdown] run
     inline on the loop thread behind a fence — every in-flight pool query
-    is answered first — mirroring the single-stream {!Server.run}
-    semantics, including fsync-before-ack for WAL'd mutations. Queries
-    arriving while a fence is pending are parked and dispatched after it;
-    queries arriving after [shutdown] are shed with [overloaded].
+    is answered first — including fsync-before-ack for WAL'd mutations.
+    Requests arriving while a fence is pending wait behind it in arrival
+    order, so a query sees exactly the mutations that arrived before it;
+    requests other than [ping] reached after [shutdown] are shed with
+    [overloaded].
 
     {b Faults.} A malformed line gets a typed [bad_request] response and
     the connection lives on (framing is line-based); a line exceeding
@@ -53,7 +55,6 @@ val close_listener : listener -> unit
 
 val serve :
   ?workers:int ->
-  ?queue_bound:int ->
   ?max_clients:int ->
   ?max_line:int ->
   ?rate:float ->
@@ -65,11 +66,13 @@ val serve :
   unit
 (** Run the event loop until a [shutdown] request: accept clients on every
     listener, serve them concurrently, then flush and close everything
-    (listeners included) and join the worker pool.
+    (listeners included) and join the worker pool. With [listeners = []]
+    the loop serves stdin/stdout instead (the fds stay blocking and open)
+    and also stops once stdin reaches EOF and every response is written.
 
     [workers] (default {!Tgd_exec.Pool.default_workers}) sizes the request
-    pool; [queue_bound] (default 64) plus [workers] is the default
-    server-wide [max_inflight] admission limit. [max_clients] (default
+    pool; [workers + 64] is the default server-wide [max_inflight]
+    admission limit. [max_clients] (default
     1024) bounds concurrent connections — an accept beyond it is answered
     with one [overloaded] line and closed. [max_line] (default 8 MiB)
     bounds a single request line. [rate]/[burst] enable per-tenant

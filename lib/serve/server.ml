@@ -67,13 +67,15 @@ let cache t = t.cache
 let read_source = function
   | Protocol.Inline s -> Ok s
   | Protocol.File path -> (
-    match open_in_bin path with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      Ok s)
+    (* A directory opens but fails to read; a stream has no length. *)
+    try
+      let ic = open_in_bin path in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+      Ok (really_input_string ic (in_channel_length ic))
+    with
+    | Sys_error msg when String.starts_with ~prefix:path msg -> Error msg
+    | Sys_error msg -> Error (path ^ ": " ^ msg)
+    | End_of_file -> Error (path ^ ": file shrank while being read"))
 
 let parse_ontology ~name src =
   match Tgd_parser.Parser.parse_string ~filename:name src with
@@ -612,87 +614,3 @@ let create ?cache_capacity ?base_budget ?config ?target ?eval_workers ?eval_part
   in
   Option.iter (recover_store t) t.store;
   t
-
-(* ------------------------------------------------------------------ *)
-(* The serving loop                                                    *)
-
-let run ?workers ?(queue_bound = 64) t ic oc =
-  let out_lock = Mutex.create () in
-  let respond line =
-    Mutex.lock out_lock;
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    Mutex.unlock out_lock
-  in
-  let scheduler = Scheduler.create ?workers ~queue_bound ~telemetry:t.telemetry () in
-  let answer id = function
-    | Ok fields -> respond (Protocol.response_ok ~id fields)
-    | Error (kind, msg) -> respond (Protocol.response_error ~id ~kind msg)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Scheduler.drain scheduler;
-      Scheduler.shutdown scheduler)
-    (fun () ->
-      let outcome = ref `Eof in
-      let stop = ref false in
-      while not !stop do
-        match input_line ic with
-        | exception End_of_file -> stop := true
-        | line when String.trim line = "" -> ()
-        | line -> (
-          match Protocol.parse line with
-          | Error (id, msg) -> respond (Protocol.response_error ~id ~kind:"bad_request" msg)
-          | Ok { Protocol.id; request } -> (
-            match request with
-            | Protocol.Prepare _ | Protocol.Execute _ -> (
-              match Scheduler.submit scheduler (fun () -> answer id (handle t request)) with
-              | Ok () -> ()
-              | Error (`Overloaded depth) ->
-                respond
-                  (Protocol.response_error ~id ~kind:"overloaded"
-                     (Printf.sprintf "queue full (%d waiting); retry later" depth))
-              | Error `Closed ->
-                respond (Protocol.response_error ~id ~kind:"internal" "scheduler closed"))
-            | Protocol.Shutdown ->
-              (* Let in-flight work answer first, then acknowledge and stop. *)
-              Scheduler.drain scheduler;
-              answer id (Ok [ ("stopping", Json.Bool true) ]);
-              outcome := `Shutdown;
-              stop := true
-            | Protocol.Register_ontology _ | Protocol.Load_csv _ | Protocol.Add_facts _
-            | Protocol.Materialize _ | Protocol.Snapshot _ | Protocol.Stats ->
-              (* Registry mutations fence on in-flight queries — an epoch bump
-                 must not race requests admitted before it — and stats waits
-                 too, so its counters reflect every previously admitted
-                 request. Only ping answers ahead of queued work. *)
-              Scheduler.drain scheduler;
-              answer id (handle t request)
-            | Protocol.Ping -> answer id (handle t request)))
-      done;
-      !outcome)
-
-let run_unix_socket ?workers ?queue_bound t ~path =
-  if Sys.file_exists path then Unix.unlink path;
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with _ -> ());
-      if Sys.file_exists path then Unix.unlink path)
-    (fun () ->
-      Unix.bind sock (Unix.ADDR_UNIX path);
-      Unix.listen sock 8;
-      let stop = ref false in
-      while not !stop do
-        let client, _ = Unix.accept sock in
-        let ic = Unix.in_channel_of_descr client in
-        let oc = Unix.out_channel_of_descr client in
-        (* A plain EOF only ends this connection; a shutdown request stops
-           the accept loop too. State persists across connections. *)
-        (match run ?workers ?queue_bound t ic oc with
-        | `Shutdown -> stop := true
-        | `Eof -> ()
-        | exception _ -> ());
-        try Unix.close client with _ -> ()
-      done)

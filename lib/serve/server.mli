@@ -1,16 +1,11 @@
 (** The long-running query server: registry + canonical prepared-query
-    cache + governed scheduler behind the JSONL protocol.
+    cache + governed request execution behind the JSONL protocol.
 
     {!handle} is the synchronous request brain — it is what both the test
     suite and the worker domains call, so every behavior (cache hits,
     epoch invalidation, budget truncation) is testable in-process without
-    spawning a server. {!run} is the serving loop: [prepare]/[execute]
-    are admitted to a bounded {!Scheduler} and answered from worker
-    domains, admission failure is shed immediately as a typed
-    ["overloaded"] response, and control operations execute inline on
-    the control thread — registry mutations (register, load-csv) and
-    [stats] first drain in-flight queries, so an epoch bump never races
-    requests admitted before it; only [ping] overtakes queued work.
+    spawning a server. The serving loop that admits requests, runs them
+    on worker domains and fences mutations is {!Net.serve}.
 
     Per-request execution is governed: each request gets a fresh
     {!Tgd_exec.Governor} over the server's base budget (overridable per
@@ -65,7 +60,7 @@ val create :
     many domains, and [eval_partitions] overrides the answer-partition
     count of the lock-free merge (default [4 × eval_workers]). This
     parallelizes {e one heavy query}; the request-level [workers] of
-    {!run} parallelize {e many light queries} — the two pools are
+    {!Net.serve} parallelize {e many light queries} — the two pools are
     distinct, so a request worker blocking on an eval batch can never
     deadlock the admission queue. Call {!shutdown} when done to join the
     eval pool. Raises [Invalid_argument] when [eval_workers <= 0] or
@@ -86,17 +81,3 @@ val handle : t -> Protocol.request -> ((string * Json.t) list, string * string) 
     response, [Error (kind, msg)] the typed error. Safe to call from any
     domain. [Shutdown] returns [Ok []] — loop termination is the caller's
     business. *)
-
-val run :
-  ?workers:int -> ?queue_bound:int -> t -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
-(** Serve JSONL requests from the channel until EOF or a [shutdown]
-    request (the return value says which); every response is exactly one
-    line, flushed. Worker count defaults to
-    {!Tgd_logic.Parallel.domain_count}, queue bound to 64. Admitted
-    requests always get a response before [run] returns. *)
-
-val run_unix_socket : ?workers:int -> ?queue_bound:int -> t -> path:string -> unit
-(** Bind a Unix-domain socket at [path] (unlinking a stale one), accept
-    connections sequentially, and {!run} each until its EOF/shutdown; a
-    [shutdown] request also stops accepting. Registry, cache and telemetry
-    persist across connections. *)

@@ -92,7 +92,7 @@ let check_contains what line needle =
 (* ------------------------------------------------------------------ *)
 (* Server harness: Net.serve in a thread, always joined.               *)
 
-let with_server ?(workers = 2) ?queue_bound ?max_clients ?max_line ?rate ?burst ?max_inflight
+let with_server ?(workers = 2) ?max_clients ?max_line ?rate ?burst ?max_inflight
     ?now f =
   let srv = Server.create () in
   let path = Filename.temp_file "tgd_net" ".sock" in
@@ -100,7 +100,7 @@ let with_server ?(workers = 2) ?queue_bound ?max_clients ?max_line ?rate ?burst 
   let thread =
     Thread.create
       (fun () ->
-        Net.serve ~workers ?queue_bound ?max_clients ?max_line ?rate ?burst ?max_inflight ?now
+        Net.serve ~workers ?max_clients ?max_line ?rate ?burst ?max_inflight ?now
           srv ~listeners:[ listener ])
       ()
   in
@@ -201,6 +201,32 @@ let test_mutation_fence_ordering () =
   check_contains "pre-mutation answers" r2 expected_answers;
   check_contains "mutation acked in order" r3 {|{"id":3,"ok":true|};
   check_contains "post-mutation answers include the new fact" r4 {|["curie"]|};
+  close c
+
+(* Two fences queued behind one in-flight query: each later query must
+   see exactly the mutations sent before it, not every queued one. *)
+let test_queued_fences_keep_request_order () =
+  with_server @@ fun path _srv ->
+  let c = connect_unix path in
+  send c
+    (String.concat "\n"
+       [
+         register_line ~id:1;
+         execute_line ~id:2 ();
+         {|{"id":3,"op":"add-facts","name":"uni","source":"professor,curie"}|};
+         execute_line ~id:4 ();
+         {|{"id":5,"op":"add-facts","name":"uni","source":"professor,hopper"}|};
+         execute_line ~id:6 ();
+       ]
+    ^ "\n");
+  ignore (registered c);
+  check_contains "before both mutations" (recv_line_exn c) expected_answers;
+  check_contains "first mutation acked" (recv_line_exn c) {|{"id":3,"ok":true|};
+  let r4 = recv_line_exn c in
+  check_contains "after the first mutation" r4 {|["curie"]|};
+  Alcotest.(check bool) ("not after the second: " ^ r4) false (contains r4 "hopper");
+  check_contains "second mutation acked" (recv_line_exn c) {|{"id":5,"ok":true|};
+  check_contains "after the second mutation" (recv_line_exn c) {|["hopper"]|};
   close c
 
 (* ------------------------------------------------------------------ *)
@@ -535,6 +561,8 @@ let () =
           Alcotest.test_case "tcp listener on an ephemeral port" `Quick test_tcp_listener;
           Alcotest.test_case "mutation fence orders pipelined requests" `Quick
             test_mutation_fence_ordering;
+          Alcotest.test_case "queued fences keep request order" `Quick
+            test_queued_fences_keep_request_order;
         ] );
       ( "faults",
         [

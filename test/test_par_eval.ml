@@ -35,7 +35,7 @@ let test_pool_submit_drain () =
   Tgd_exec.Pool.shutdown pool
 
 let test_pool_overload () =
-  let pool = Tgd_exec.Pool.create ~workers:1 ~queue_bound:2 () in
+  let pool = Tgd_exec.Pool.create ~workers:1 ~max_queued:2 () in
   let release = Atomic.make false in
   let started = Atomic.make false in
   (match
@@ -86,7 +86,7 @@ let test_pool_run_morsels () =
 (* Concurrent submitters racing drain and shutdown: every admitted job
    runs exactly once, rejected jobs never run, nothing deadlocks. *)
 let test_pool_concurrent_submit_drain () =
-  let pool = Tgd_exec.Pool.create ~workers:2 ~queue_bound:8 () in
+  let pool = Tgd_exec.Pool.create ~workers:2 ~max_queued:8 () in
   let executed = Atomic.make 0 in
   let admitted = Atomic.make 0 in
   let rejected = Atomic.make 0 in

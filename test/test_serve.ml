@@ -1,13 +1,12 @@
 (* The serving subsystem: canonical CQ forms, the prepared-query LRU,
-   the bounded scheduler, domain-safe telemetry, and the server brain
-   (warm-cache behavior, epoch invalidation, concurrent execution), plus
-   an end-to-end JSONL smoke of the real `obda serve` binary. *)
+   domain-safe telemetry, and the server brain (warm-cache behavior,
+   epoch invalidation, concurrent execution), plus end-to-end runs of the
+   real `obda serve` binary over stdin/stdout and over --socket. *)
 
 open Tgd_logic
 module Json = Tgd_serve.Json
 module Canon = Tgd_serve.Canon
 module Prepared = Tgd_serve.Prepared
-module Scheduler = Tgd_serve.Scheduler
 module Protocol = Tgd_serve.Protocol
 module Server = Tgd_serve.Server
 module Telemetry = Tgd_exec.Telemetry
@@ -225,44 +224,6 @@ let test_prepared_purge () =
   Alcotest.(check int) "one stale entry dropped" 1 (Prepared.purge cache ~ontology:"o" ~keep_epoch:2);
   Alcotest.(check int) "others kept" 2 (Prepared.length cache);
   Alcotest.(check int) "purges are not evictions" 0 (Telemetry.get tel "serve.cache.evictions")
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler: bounded admission with typed shedding *)
-
-let test_scheduler_overload () =
-  let tel = Telemetry.create () in
-  let s = Scheduler.create ~workers:1 ~queue_bound:2 ~telemetry:tel () in
-  let started = Atomic.make false and release = Atomic.make false in
-  let block () =
-    Atomic.set started true;
-    while not (Atomic.get release) do
-      Domain.cpu_relax ()
-    done
-  in
-  (match Scheduler.submit s block with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "blocking job rejected");
-  while not (Atomic.get started) do
-    Domain.cpu_relax ()
-  done;
-  (* The single worker is pinned: the next queue_bound submissions queue,
-     request N+1 must shed with the typed rejection. *)
-  let ran = Atomic.make 0 in
-  let job () = ignore (Atomic.fetch_and_add ran 1) in
-  (match Scheduler.submit s job with Ok () -> () | Error _ -> Alcotest.fail "queued job 1 rejected");
-  (match Scheduler.submit s job with Ok () -> () | Error _ -> Alcotest.fail "queued job 2 rejected");
-  (match Scheduler.submit s job with
-  | Error (`Overloaded depth) -> Alcotest.(check int) "depth at rejection" 2 depth
-  | Ok () -> Alcotest.fail "request over the bound was admitted"
-  | Error `Closed -> Alcotest.fail "scheduler closed");
-  Atomic.set release true;
-  Scheduler.drain s;
-  Alcotest.(check int) "admitted jobs all ran" 2 (Atomic.get ran);
-  Alcotest.(check int) "shed count" 1 (Telemetry.get tel "serve.overloaded");
-  Scheduler.shutdown s;
-  (match Scheduler.submit s job with
-  | Error `Closed -> ()
-  | _ -> Alcotest.fail "submit after shutdown must be Closed")
 
 (* ------------------------------------------------------------------ *)
 (* Server brain: warm cache, epoch invalidation, concurrency *)
@@ -539,6 +500,20 @@ let test_server_errors () =
   (match Server.handle srv (Protocol.Execute { ontology = "uni"; query = "not a query"; budget = None; target = None }) with
   | Error ("bad_request", _) -> ()
   | _ -> Alcotest.fail "expected bad_request on an unparsable query");
+  (* A "file" source naming a directory opens but cannot be read. *)
+  let dir = Protocol.File (Filename.get_temp_dir_name ()) in
+  List.iter
+    (fun (what, request) ->
+      match Server.handle srv request with
+      | Error ("bad_request", _) -> ()
+      | Ok _ -> Alcotest.fail (what ^ " from a directory succeeded")
+      | Error (kind, msg) ->
+        Alcotest.fail (Printf.sprintf "%s from a directory: %s: %s" what kind msg))
+    [
+      ("register-ontology", Protocol.Register_ontology { name = "dir"; source = dir });
+      ("load-csv", Protocol.Load_csv { name = "uni"; source = dir });
+      ("add-facts", Protocol.Add_facts { name = "uni"; source = dir });
+    ];
   match Protocol.parse {|{"id":42,"op":"execute","ontology":"uni"}|} with
   | Error (Json.Int 42, _) -> ()
   | _ -> Alcotest.fail "protocol error must carry the request id"
@@ -579,55 +554,6 @@ let test_protocol_fault_injection () =
   | Ok { Protocol.tenant = Some "acme"; _ } -> ()
   | Ok _ -> Alcotest.fail "tenant field lost"
   | Error (_, msg) -> Alcotest.fail ("tenant parse failed: " ^ msg)
-
-(* The single-stream serving loop survives a hostile stream: malformed
-   JSON, binary garbage and half-finished requests interleaved with real
-   work — one typed response per line, then a clean [`Eof], and the server
-   state is still live afterwards. *)
-let test_server_run_fault_stream () =
-  let srv = Server.create () in
-  let script =
-    [
-      {|{"id":1,"op":"register-ontology","name":"uni","source":"professor(X) -> person(X). professor(ada)."}|};
-      "not json at all";
-      "\x00\x01\xfe\xffbinary\x00";
-      {|{"op":|};
-      {|{"id":2,"op":"execute","ontology":"uni","query":"q(X) :- person(X)."}|};
-      {|{"id":3,"op":"execute","ontology":"uni","query":"syntactically broken"}|};
-      {|{"id":4,"op":"ping"}|};
-    ]
-  in
-  let in_path = Filename.temp_file "serve_faults_in" ".jsonl" in
-  let out_path = Filename.temp_file "serve_faults_out" ".jsonl" in
-  let oc = open_out in_path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) script;
-  close_out oc;
-  let ic = open_in in_path and oc = open_out out_path in
-  let outcome = Server.run ~workers:1 srv ic oc in
-  close_in ic;
-  close_out oc;
-  Alcotest.(check bool) "stream ends in Eof, not a crash" true (outcome = `Eof);
-  let ic = open_in out_path in
-  let n = in_channel_length ic in
-  let output = really_input_string ic n in
-  close_in ic;
-  Sys.remove in_path;
-  Sys.remove out_path;
-  let lines = String.split_on_char '\n' (String.trim output) in
-  Alcotest.(check int) "one response per line, even the garbage ones" (List.length script)
-    (List.length lines);
-  Alcotest.(check bool) "garbage answered with typed errors" true
-    (contains output {|"kind":"bad_request"|});
-  Alcotest.(check bool) "real work still served" true (contains output {|[["ada"]]|});
-  Alcotest.(check bool) "broken query typed, not fatal" true
-    (contains output {|"id":3,"ok":false|});
-  Alcotest.(check bool) "trailing ping answered" true (contains output {|"pong":true|});
-  (* The server survived the stream. *)
-  match
-    Server.handle srv (Protocol.Execute { ontology = "uni"; query = "q(X) :- person(X)."; budget = None; target = None })
-  with
-  | Ok _ -> ()
-  | Error (kind, msg) -> Alcotest.fail ("server wedged after fault stream: " ^ kind ^ ": " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the real binary over stdin/stdout JSONL *)
@@ -670,6 +596,173 @@ let test_cli_serve_smoke () =
   Alcotest.(check bool) "unknown op rejected" true (contains output {|"kind":"bad_request"|});
   Alcotest.(check bool) "clean stop" true (contains output {|"stopping":true|})
 
+(* Run [obda serve --workers 1] with [lines] on stdin; the exit code and
+   stdout. *)
+let serve_stdio lines =
+  let script = Filename.temp_file "serve_in" ".jsonl" in
+  let out = Filename.temp_file "serve_out" ".jsonl" in
+  let oc = open_out_bin script in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc;
+  let code = Sys.command (Printf.sprintf "%s serve --workers 1 < %s > %s 2>/dev/null" obda script out) in
+  let ic = open_in_bin out in
+  let output = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove script;
+  Sys.remove out;
+  (code, output)
+
+(* The id each response line echoes, as its JSON text. *)
+let response_id line =
+  let prefix = {|{"id":|} in
+  let n = String.length prefix in
+  if String.length line < n || String.sub line 0 n <> prefix then "?"
+  else
+    match String.index_from_opt line n ',' with
+    | Some j -> String.sub line n (j - n)
+    | None -> "?"
+
+(* The stdin/stdout connection survives a hostile stream: malformed JSON,
+   binary garbage, half-finished requests and an unreadable "file" source
+   interleaved with real work — one typed response per line, in request
+   order, and the process ends cleanly both at EOF and on shutdown. *)
+let test_server_run_fault_stream () =
+  let script =
+    [
+      {|{"id":1,"op":"register-ontology","name":"uni","source":"professor(X) -> person(X). professor(ada)."}|};
+      "not json at all";
+      "\x00\x01\xfe\xffbinary\x00";
+      {|{"op":|};
+      {|{"id":2,"op":"execute","ontology":"uni","query":"q(X) :- person(X)."}|};
+      {|{"id":3,"op":"execute","ontology":"uni","query":"syntactically broken"}|};
+      Printf.sprintf {|{"id":4,"op":"register-ontology","name":"x","file":%S}|}
+        (Filename.get_temp_dir_name ());
+      {|{"id":5,"op":"execute","ontology":"uni","query":"q(Y) :- professor(Y)."}|};
+      {|{"id":6,"op":"ping"}|};
+    ]
+  in
+  let check_stream what code output ~ids =
+    Alcotest.(check int) (what ^ ": exit 0, not a crash") 0 code;
+    let lines = String.split_on_char '\n' (String.trim output) in
+    Alcotest.(check int) (what ^ ": one response per line, even the garbage ones")
+      (List.length ids) (List.length lines);
+    Alcotest.(check (list string)) (what ^ ": responses in request order") ids
+      (List.map response_id lines);
+    Alcotest.(check bool) (what ^ ": garbage answered with typed errors") true
+      (contains output {|"kind":"bad_request"|});
+    Alcotest.(check bool) (what ^ ": real work still served") true (contains output {|[["ada"]]|});
+    Alcotest.(check bool) (what ^ ": broken query typed, not fatal") true
+      (contains output {|"id":3,"ok":false|});
+    Alcotest.(check bool) (what ^ ": unreadable file typed, not fatal") true
+      (contains output {|"id":4,"ok":false,"kind":"bad_request"|});
+    Alcotest.(check bool) (what ^ ": work after it still served") true
+      (contains output {|"id":5,"ok":true|});
+    Alcotest.(check bool) (what ^ ": trailing ping answered") true (contains output {|"pong":true|})
+  in
+  let ids = [ "1"; "null"; "null"; "null"; "2"; "3"; "4"; "5"; "6" ] in
+  let code, output = serve_stdio script in
+  check_stream "eof" code output ~ids;
+  let code, output =
+    serve_stdio
+      (script
+      @ [
+          {|{"id":7,"op":"shutdown"}|};
+          {|{"id":8,"op":"register-ontology","name":"late","source":"p(X) -> q(X)."}|};
+        ])
+  in
+  check_stream "shutdown" code output ~ids:(ids @ [ "7"; "8" ]);
+  Alcotest.(check bool) "clean stop" true (contains output {|"stopping":true|});
+  Alcotest.(check bool) "no mutation after the stop" true
+    (contains output {|"id":8,"ok":false,"kind":"overloaded"|})
+
+(* A closed stdin is an empty one: nothing to serve, a clean exit (the
+   loop's own fds must not take fd 0 and be read as stdin). *)
+let test_cli_closed_stdin () =
+  let code = Sys.command (Printf.sprintf "timeout 10 %s serve --workers 1 <&- >/dev/null 2>&1" obda) in
+  Alcotest.(check int) "exit 0" 0 code
+
+(* Blocking socket client helpers for the --socket test. *)
+let connect_retry path =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error _ when Unix.gettimeofday () < deadline ->
+      Unix.close fd;
+      Unix.sleepf 0.02;
+      go ()
+  in
+  go ()
+
+let send_line fd s =
+  let s = s ^ "\n" in
+  let n = String.length s in
+  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
+  go 0
+
+(* One response line, read byte by byte; fails after 10 s. *)
+let recv_line fd =
+  let b = Buffer.create 128 and byte = Bytes.create 1 in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0.0 then Alcotest.fail "timed out waiting for a response";
+    match Unix.select [ fd ] [] [] left with
+    | [], _, _ -> go ()
+    | _ -> (
+      match Unix.read fd byte 0 1 with
+      | 0 -> Alcotest.fail "server closed the connection"
+      | _ when Bytes.get byte 0 = '\n' -> Buffer.contents b
+      | _ ->
+        Buffer.add_char b (Bytes.get byte 0);
+        go ())
+  in
+  go ()
+
+(* --socket PATH is --listen unix:PATH: two clients connected at once are
+   both served (a second client is not queued behind the first), and a
+   shutdown stops the server and unlinks PATH. *)
+let test_cli_socket_alias () =
+  let path = Filename.temp_file "obda_serve" ".sock" in
+  Sys.remove path;
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process obda
+      [| obda; "serve"; "--workers"; "2"; "--socket"; path |]
+      devnull devnull devnull
+  in
+  Unix.close devnull;
+  let status = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      if !status = None then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end)
+  @@ fun () ->
+  let a = connect_retry path in
+  let b = connect_retry path in
+  send_line a {|{"id":1,"op":"register-ontology","name":"uni","source":"professor(X) -> person(X). professor(ada)."}|};
+  Alcotest.(check bool) "a: registered" true (contains (recv_line a) {|"id":1,"ok":true|});
+  send_line b {|{"id":2,"op":"execute","ontology":"uni","query":"q(X) :- person(X)."}|};
+  Alcotest.(check bool) "b served while a is open" true
+    (contains (recv_line b) {|"answers":[["ada"]]|});
+  send_line a {|{"id":3,"op":"ping"}|};
+  Alcotest.(check bool) "a still served" true (contains (recv_line a) {|"pong":true|});
+  send_line b {|{"id":4,"op":"shutdown"}|};
+  Alcotest.(check bool) "b: stopping" true (contains (recv_line b) {|"stopping":true|});
+  Unix.close a;
+  Unix.close b;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while !status = None && Unix.gettimeofday () < deadline do
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> Unix.sleepf 0.02
+    | _, st -> status := Some st
+  done;
+  Alcotest.(check bool) "exit 0 within 10 s of shutdown" true (!status = Some (Unix.WEXITED 0));
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
@@ -694,9 +787,6 @@ let () =
         Alcotest.test_case "LRU eviction and counters" `Quick test_prepared_lru;
         Alcotest.test_case "epoch purge" `Quick test_prepared_purge;
       ]);
-      ("scheduler", [
-        Alcotest.test_case "bounded admission sheds typed overload" `Quick test_scheduler_overload;
-      ]);
       ("server", [
         Alcotest.test_case "warm cache skips rewriting" `Quick test_server_warm_cache;
         Alcotest.test_case "data delta keeps the cache warm" `Quick
@@ -716,5 +806,9 @@ let () =
         Alcotest.test_case "serving loop survives a hostile stream" `Quick
           test_server_run_fault_stream;
       ]);
-      ("cli", [ Alcotest.test_case "obda serve JSONL smoke" `Quick test_cli_serve_smoke ]);
+      ("cli", [
+        Alcotest.test_case "obda serve JSONL smoke" `Quick test_cli_serve_smoke;
+        Alcotest.test_case "--socket serves concurrent clients" `Quick test_cli_socket_alias;
+        Alcotest.test_case "closed stdin exits cleanly" `Quick test_cli_closed_stdin;
+      ]);
     ]
